@@ -39,7 +39,8 @@ bench-save:
 	go test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) $(BENCH_PKGS) | tee $$out
 
 # Machine-readable perf trajectory: reruns the Table I campaign benchmark
-# across every engine and snapshots per-engine medians (ns/op, allocs/op,
+# (judging engines, generators, and the end-to-end campaign against its
+# scalar oracle) and snapshots per-benchmark medians (ns/op, allocs/op,
 # trials/s) into $(BENCH_JSON) via cmd/xedbench. The committed
 # BENCH_pr*.json files let later PRs diff engine throughput without
 # replaying old trees.

@@ -49,11 +49,13 @@ func main() {
 // Doc is the exported JSON shape. Benchmarks preserve first-seen order so
 // diffs between PR snapshots stay readable.
 type Doc struct {
-	// Goos, Goarch and Pkg are copied from the go test preamble when
-	// present.
+	// Goos, Goarch, Pkg and CPU are copied from the go test preamble when
+	// present. CPU names the host model, so a trajectory can tell a
+	// regression from a machine change.
 	Goos       string       `json:"goos,omitempty"`
 	Goarch     string       `json:"goarch,omitempty"`
 	Pkg        string       `json:"pkg,omitempty"`
+	CPU        string       `json:"cpu,omitempty"`
 	Benchmarks []*Benchmark `json:"benchmarks"`
 }
 
@@ -99,6 +101,8 @@ func parseBench(r io.Reader) (*Doc, error) {
 			doc.Goarch = rest
 		case scanPrefix(line, "pkg: ", &rest):
 			doc.Pkg = rest
+		case scanPrefix(line, "cpu: ", &rest):
+			doc.CPU = rest
 		case scanPrefix(line, "Benchmark", &rest):
 			name, metrics, ok := parseBenchLine(line)
 			if !ok {

@@ -22,7 +22,8 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Goos != "linux" || doc.Goarch != "amd64" || doc.Pkg != "xedsim/internal/faultsim" {
+	if doc.Goos != "linux" || doc.Goarch != "amd64" || doc.Pkg != "xedsim/internal/faultsim" ||
+		doc.CPU != "Intel(R) Xeon(R)" {
 		t.Fatalf("preamble not captured: %+v", doc)
 	}
 	if len(doc.Benchmarks) != 2 {
@@ -53,6 +54,8 @@ func TestBenchGroup(t *testing.T) {
 		"BenchmarkTableICampaign/judge/engine=lanes-8":             "judge",
 		"BenchmarkTableICampaign/gen/gen=batch-8":                  "gen",
 		"BenchmarkTableICampaign/end2end/engine=lanes/gen=batch-8": "end2end",
+		"BenchmarkTableICampaign/end2end/oracle=scalar-indexed-8":  "end2end",
+		"BenchmarkTableICampaign/end2end-8":                        "end2end",
 		"BenchmarkTableICampaign/gen-8":                            "gen",
 		"BenchmarkX-4":                                             "",
 		"BenchmarkX":                                               "",

@@ -4,7 +4,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestValidateArgs pins the flag-range validation behind the exit-2 usage
 // convention: out-of-range values are rejected up front instead of
@@ -31,8 +35,6 @@ func TestValidateArgs(t *testing.T) {
 		{"schemes outside custom", func(a *cliArgs) { a.schemeList = "XED" }, "-schemes"},
 		{"checkpoint with all", func(a *cliArgs) { a.experiment = "all"; a.ckptPath = "x.json" }, "-checkpoint"},
 		{"resume without checkpoint", func(a *cliArgs) { a.resume = true }, "-resume"},
-		{"unknown engine", func(a *cliArgs) { a.engine = "warp" }, "engine"},
-		{"unknown generator", func(a *cliArgs) { a.gen = "warp" }, "generat"},
 		{"unknown on-die code", func(a *cliArgs) { a.ondieCode = "crc16" }, "on-die code"},
 		{"bad random code seed", func(a *cliArgs) { a.ondieCode = "random:x" }, "seed"},
 	}
@@ -47,6 +49,15 @@ func TestValidateArgs(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
+		})
+	}
+
+	// Campaigns run one judging engine and one generator: the -engine and
+	// -gen flags are gone and exit 2 with usage. Were either accepted, the
+	// one-trial run would exit 0.
+	for name, flag := range map[string]string{"unknown engine": "-engine", "unknown generator": "-gen"} {
+		t.Run(name, func(t *testing.T) {
+			clitest.RejectsFlag(t, flag, "-experiment", "fig1", "-systems", "1", flag, "batch")
 		})
 	}
 

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"xedsim/internal/clitest"
 	"xedsim/internal/dist"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // serveArgs returns a valid serve-mode baseline.
 func serveArgs() cliArgs {
@@ -53,8 +56,6 @@ func TestValidateArgs(t *testing.T) {
 		{"submit zero systems", func(a *cliArgs) { *a = submitArgs(); a.systems = 0 }, "-systems"},
 		{"submit negative chunk size", func(a *cliArgs) { *a = submitArgs(); a.chunkSize = -1 }, "-chunk-size"},
 		{"submit negative scrub", func(a *cliArgs) { *a = submitArgs(); a.scrub = -1 }, "-scrub-hours"},
-		{"submit bad engine", func(a *cliArgs) { *a = submitArgs(); a.engine = "warp" }, "engine"},
-		{"submit bad generator", func(a *cliArgs) { *a = submitArgs(); a.gen = "warp" }, "generat"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,6 +71,15 @@ func TestValidateArgs(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
 			}
+		})
+	}
+
+	// Campaigns run one judging engine and one generator: submit mode's
+	// -engine and -gen flags are gone and exit 2 with usage (an accepted
+	// flag would fail on the missing -coordinator instead).
+	for name, flag := range map[string]string{"submit bad engine": "-engine", "submit bad generator": "-gen"} {
+		t.Run(name, func(t *testing.T) {
+			clitest.RejectsFlag(t, flag, "-submit", "-schemes", "XED", flag, "batch")
 		})
 	}
 }

@@ -3,7 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestValidateArgs pins the flag-range validation behind the exit-2 usage
 // convention.
@@ -23,8 +27,6 @@ func TestValidateArgs(t *testing.T) {
 		{"negative workers", func(a *cliArgs) { a.workers = -1 }, "-workers"},
 		{"unknown sweep", func(a *cliArgs) { a.sweep = "voltage" }, "unknown sweep"},
 		{"empty sweep", func(a *cliArgs) { a.sweep = "" }, "unknown sweep"},
-		{"unknown engine", func(a *cliArgs) { a.engine = "warp" }, "engine"},
-		{"unknown generator", func(a *cliArgs) { a.gen = "warp" }, "generat"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,6 +39,15 @@ func TestValidateArgs(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
+		})
+	}
+
+	// Campaigns run one judging engine and one generator: the -engine and
+	// -gen flags are gone and exit 2 with usage (an accepted flag would
+	// fail on the unknown sweep instead).
+	for name, flag := range map[string]string{"unknown engine": "-engine", "unknown generator": "-gen"} {
+		t.Run(name, func(t *testing.T) {
+			clitest.RejectsFlag(t, flag, "-sweep", "none", flag, "batch")
 		})
 	}
 

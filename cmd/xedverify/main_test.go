@@ -3,7 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"xedsim/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestValidateArgs pins the flag-range validation behind the exit-2 usage
 // convention, including claim-name resolution: a typo in -claims must be
@@ -25,8 +29,6 @@ func TestValidateArgs(t *testing.T) {
 		{"zero configs", func(a *cliArgs) { a.configs = 0 }, "-configs"},
 		{"zero trials-per-config", func(a *cliArgs) { a.trialsPerConfig = 0 }, "-trials-per-config"},
 		{"unknown claim", func(a *cliArgs) { a.claims = "fig7/no-such-claim" }, "unknown claim"},
-		{"unknown engine", func(a *cliArgs) { a.engine = "warp" }, "engine"},
-		{"unknown generator", func(a *cliArgs) { a.gen = "warp" }, "generat"},
 		{"workers with coordinator", func(a *cliArgs) {
 			a.coordinator = "http://localhost:7600"
 			a.workers = 4
@@ -43,6 +45,15 @@ func TestValidateArgs(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
+		})
+	}
+
+	// Campaigns run one judging engine and one generator: the -engine and
+	// -gen flags are gone and exit 2 with usage (an accepted flag would
+	// fail on the unknown claim instead).
+	for name, flag := range map[string]string{"unknown engine": "-engine", "unknown generator": "-gen"} {
+		t.Run(name, func(t *testing.T) {
+			clitest.RejectsFlag(t, flag, "-claims", "fig7/no-such-claim", flag, "batch")
 		})
 	}
 

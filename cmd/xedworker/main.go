@@ -1,7 +1,7 @@
 // Command xedworker is the compute side of "campaign as a service": it
 // leases work units (contiguous chunk spans of a campaign) from an
 // xedserver coordinator, evaluates them with the chunked Monte-Carlo
-// engine, and reports the tallies back.
+// engine's production path, and reports the tallies back.
 //
 //	xedworker -coordinator http://host:7600 -parallel 8
 //

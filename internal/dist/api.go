@@ -62,13 +62,6 @@ type JobSpec struct {
 	// faultsim.DefaultChunkSize. Part of the job identity (it shapes the
 	// substreams).
 	ChunkSize int `json:"chunk_size,omitempty"`
-	// Engine selects the worker-side evaluation engine. NOT part of the
-	// job identity: results are bit-identical across engines.
-	Engine string `json:"engine,omitempty"`
-	// Gen selects the trial-generation mode ("scalar" or "batch"). Part of
-	// the job identity — the modes draw different (exactly distributed)
-	// streams — via faultsim.CampaignHash.
-	Gen string `json:"gen,omitempty"`
 	// ErrorBudget bounds voided (panicking) trials aggregated across all
 	// workers; 0 selects faultsim.DefaultErrorBudget.
 	ErrorBudget int `json:"error_budget,omitempty"`
@@ -80,10 +73,26 @@ func (s *JobSpec) CampaignOptions() faultsim.CampaignOptions {
 		Trials:      s.Trials,
 		Seed:        s.Seed,
 		ChunkSize:   s.ChunkSize,
-		Engine:      faultsim.Engine(s.Engine),
-		Gen:         faultsim.Generator(s.Gen),
 		ErrorBudget: s.ErrorBudget,
 	}
+}
+
+// submitRequest is the POST /v1/jobs body. Clients from before the batch
+// generator became the only campaign generator may still send "gen" and
+// "engine". A "gen" naming any other generator is refused: running it on
+// the batch stream would silently answer a different campaign. "engine" is
+// ignored, as judging engines never changed a result.
+type submitRequest struct {
+	JobSpec
+	Gen string `json:"gen,omitempty"`
+}
+
+// validateGen refuses a generator the coordinator cannot run.
+func (r *submitRequest) validateGen() error {
+	if gen, err := faultsim.ParseGenerator(r.Gen); err != nil || gen != faultsim.GenBatch {
+		return fmt.Errorf("dist: generator %q is not supported: campaigns run only the batch generator (omit \"gen\")", r.Gen)
+	}
+	return nil
 }
 
 // ResolveSchemes instantiates the named schemes.
@@ -99,12 +108,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("dist: no schemes named")
-	}
-	if _, err := faultsim.ParseEngine(s.Engine); err != nil {
-		return err
-	}
-	if _, err := faultsim.ParseGenerator(s.Gen); err != nil {
-		return err
 	}
 	if _, err := s.ResolveSchemes(); err != nil {
 		return err
@@ -137,13 +140,13 @@ type SchemeProgress struct {
 
 // JobStatus is the poll response for one job.
 type JobStatus struct {
-	ID          string           `json:"id"`
-	State       JobState         `json:"state"`
-	DoneChunks  int              `json:"done_chunks"`
-	TotalChunks int              `json:"total_chunks"`
-	DoneTrials  uint64           `json:"done_trials"`
-	Trials      int              `json:"trials"`
-	TrialErrors int              `json:"trial_errors"`
+	ID          string   `json:"id"`
+	State       JobState `json:"state"`
+	DoneChunks  int      `json:"done_chunks"`
+	TotalChunks int      `json:"total_chunks"`
+	DoneTrials  uint64   `json:"done_trials"`
+	Trials      int      `json:"trials"`
+	TrialErrors int      `json:"trial_errors"`
 	// Cached reports that the submission hit the completed-result cache:
 	// an identical campaign (same config hash) had already run to
 	// completion, so no new work was scheduled.
@@ -174,7 +177,7 @@ type Lease struct {
 	// TTLMillis is the lease duration from grant (a duration, not a
 	// wall-clock deadline, so worker and coordinator clocks need not
 	// agree).
-	TTLMillis int64 `json:"ttl_ms"`
+	TTLMillis int64   `json:"ttl_ms"`
 	Spec      JobSpec `json:"spec"`
 }
 

@@ -672,12 +672,16 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := obs.NewMux(c.opts.Metrics, c.Ready)
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		if err := decodeJSON(w, r, &spec); err != nil {
+		var req submitRequest
+		if err := decodeJSON(w, r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		st, err := c.Submit(spec)
+		if err := req.validateGen(); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		st, err := c.Submit(req.JobSpec)
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(c.opts.LeaseTTL)))

@@ -28,7 +28,6 @@ func testSpec() *JobSpec {
 		Trials:    40_000,
 		Seed:      99,
 		ChunkSize: 512,
-		Engine:    string(faultsim.EngineLanes),
 	}
 }
 
@@ -151,54 +150,123 @@ func TestCoordinatorMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBatchGenMatchesLocal extends the core promise to the
-// batch generation mode: a -gen=batch job sharded across leased units
-// merges to exactly the local batch run's Report and checkpoint bytes, and
-// — because the generator is part of the job identity — a batch submission
-// is never served the scalar job's cached result.
+// TestCoordinatorBatchGenMatchesLocal: a job submitted over HTTP naming
+// the batch generator explicitly ("gen":"batch", as clients from before it
+// became the only generator send) merges to exactly the local run's Report
+// and checkpoint bytes, and is the same job as a submission without the
+// field — a resubmission is served from cache.
 func TestCoordinatorBatchGenMatchesLocal(t *testing.T) {
-	scalar := testSpec()
-	batch := testSpec()
-	batch.Gen = string(faultsim.GenBatch)
-	localRep, localBytes := localRun(t, batch)
+	spec := testSpec()
+	localRep, localBytes := localRun(t, spec)
 
 	c := newTestCoordinator(t, CoordinatorOptions{UnitChunks: 4})
-	st, err := c.Submit(*scalar)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(specJSONWith(t, spec, `"gen":"batch"`)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainJob(t, c)
-
-	st2, err := c.Submit(*batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Cached || st2.ID == st.ID {
-		t.Fatalf("batch submission hit the scalar job's cache: %+v", st2)
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
 	}
 	drainJob(t, c)
 
-	rep, err := c.Result(st2.ID)
+	rep, err := c.Result(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep, localRep) {
-		t.Fatal("coordinator batch-gen Report differs from local RunCampaign")
+		t.Fatal("coordinator Report differs from local RunCampaign")
 	}
-	b, err := c.CheckpointBytes(st2.ID)
+	b, err := c.CheckpointBytes(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(b) != string(localBytes) {
-		t.Fatal("coordinator batch-gen checkpoint bytes differ from local checkpoint file")
+		t.Fatal("coordinator checkpoint bytes differ from local checkpoint file")
 	}
-	scalarRep, err := c.Result(st.ID)
+	st2, err := c.Submit(*spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(scalarRep.Results, rep.Results) {
-		t.Fatal("scalar and batch jobs produced identical tallies; the generator plausibly never switched")
+	if !st2.Cached || st2.ID != st.ID {
+		t.Fatalf("a submission without \"gen\" missed the batch job's cache: %+v", st2)
 	}
+}
+
+// specJSONWith encodes s with extra JSON members spliced into the object.
+func specJSONWith(t *testing.T, s *JobSpec, extra string) string {
+	t.Helper()
+	body := mustSpecJSON(t, s)
+	if extra == "" {
+		return body
+	}
+	return body[:len(body)-1] + "," + extra + "}"
+}
+
+// TestSubmitGenAndEngineFields pins how the coordinator treats the fields
+// older clients send: a "gen" other than the batch generator is refused
+// with a 400 that says why, and a stale "engine" is accepted and ignored.
+func TestSubmitGenAndEngineFields(t *testing.T) {
+	for _, tc := range []struct {
+		name, extra string
+		status      int
+		msg         string
+	}{
+		{"no fields", "", http.StatusAccepted, ""},
+		{"gen batch", `"gen":"batch"`, http.StatusAccepted, ""},
+		{"gen scalar", `"gen":"scalar"`, http.StatusBadRequest, "batch generator"},
+		{"gen unknown", `"gen":"vectorized"`, http.StatusBadRequest, "batch generator"},
+		{"engine indexed", `"engine":"indexed"`, http.StatusAccepted, ""},
+		{"engine unknown", `"engine":"quantum"`, http.StatusAccepted, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCoordinator(t, CoordinatorOptions{})
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+				strings.NewReader(specJSONWith(t, testSpec(), tc.extra)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body struct {
+				ID    string `json:"id"`
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d (%s), want %d", resp.StatusCode, body.Error, tc.status)
+			}
+			if !strings.Contains(body.Error, tc.msg) {
+				t.Fatalf("error %q does not say %q", body.Error, tc.msg)
+			}
+			if tc.status == http.StatusAccepted {
+				want, err := faultsim.CampaignHash(testSpec().Config, mustSchemes(t, testSpec()), testSpec().CampaignOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if body.ID != want {
+					t.Fatalf("job ID %s, want the batch campaign's hash %s", body.ID, want)
+				}
+			}
+		})
+	}
+}
+
+func mustSchemes(t *testing.T, s *JobSpec) []faultsim.Scheme {
+	t.Helper()
+	schemes, err := s.ResolveSchemes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return schemes
 }
 
 // TestQueueBackpressure pins the bounded queue: beyond QueueDepth active
@@ -251,7 +319,6 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		"no trials":      func(s *JobSpec) { s.Trials = 0 },
 		"no schemes":     func(s *JobSpec) { s.Schemes = nil },
 		"unknown scheme": func(s *JobSpec) { s.Schemes = []string{"TMR"} },
-		"unknown engine": func(s *JobSpec) { s.Engine = "quantum" },
 	}
 	for name, mut := range cases {
 		s := testSpec()

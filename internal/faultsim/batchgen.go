@@ -3,13 +3,12 @@ package faultsim
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 
 	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
 )
 
-// Batched trial generation (-gen=batch).
+// Batched trial generation: the campaign generator.
 //
 // The scalar generator interleaves every trial's draws: one Poisson count,
 // then per record a class draw, an onset draw and three bounded geometry
@@ -31,11 +30,12 @@ import (
 //     expansion) on the scalar route, in the scalar order.
 //
 // Determinism contract: for a fixed (cfg, seed, chunk index) the plan is a
-// pure function of the chunk substream, so -gen=batch results remain
-// bit-identical across worker counts, engines, checkpoint/resume patterns
-// and the service/local split — the campaign invariants are untouched. What
-// changes is the *order* uniforms are consumed in, so batch streams are not
-// bit-identical to scalar streams; they are exactly distributed instead:
+// pure function of the chunk substream, so campaign results remain
+// bit-identical across worker counts, judging oracles, checkpoint/resume
+// patterns and the service/local split — the campaign invariants are
+// untouched. What changes is the *order* uniforms are consumed in, so batch
+// streams are not bit-identical to scalar streams; they are exactly
+// distributed instead:
 //
 //   - The arrival decomposition (geometric zero-run + zero-truncated count)
 //     is the same exact identity the scalar fast path uses; stopping at the
@@ -52,11 +52,11 @@ import (
 //     acceptance probability is exactly 1) and that a rank is drawn for
 //     multi-rank (GranChip) records whose expansion then overwrites it.
 //
-// The gate mirrors the lane engine's: FuzzBatchGenVsScalar differential
-// fuzz, the 1000-config conformance differential and `xedverify -gen=batch`
-// (including through a live coordinator) must all pass. Because the streams
-// differ, Generator is part of the campaign identity hash — see
-// campaignHashInput.
+// The gate mirrors the lane engine's: the FuzzBatchGenVsScalar
+// differential fuzz, the 1000-config conformance differential and
+// `xedverify` (including through a live coordinator) must all pass. Because
+// the streams differ, the generator is part of the campaign identity hash —
+// see campaignHashInput.
 
 // batchGenerator wraps a scalar generator with per-chunk plan storage. It
 // is single-goroutine, like the campaignWorker that owns it, and reuses all
@@ -66,10 +66,15 @@ type batchGenerator struct {
 	g       *generator
 	trunc   simrand.TruncPoisson // arrival runs at totalMean (flat profile)
 	truncPk simrand.TruncPoisson // candidate runs at totalMean * aging peak
+	*planColumns
 
-	// Chunk plan. trialPos[i] is the chunk-relative index of the i-th
-	// emitted trial (>= 1 record after aging thinning); its records occupy
-	// the column range [recEnd[i-1], recEnd[i]).
+	met batchGenMetrics
+}
+
+// planColumns is a chunk plan's storage. trialPos[i] is the chunk-relative
+// index of the i-th emitted trial (>= 1 record after aging thinning); its
+// records occupy the column range [recEnd[i-1], recEnd[i]).
+type planColumns struct {
 	runs     []simrand.PosRun
 	trialPos []int32
 	recEnd   []int32
@@ -83,8 +88,6 @@ type batchGenerator struct {
 	words []uint64  // bulk words for IntnSampler.Fill
 	f64   []float64 // class uniforms; aging thinning uniforms
 	x     []float64 // aging candidate onsets
-
-	met batchGenMetrics
 }
 
 // batchGenMetrics publishes generation-shape statistics under
@@ -100,7 +103,7 @@ type batchGenMetrics struct {
 }
 
 func newBatchGenerator(g *generator) *batchGenerator {
-	bg := &batchGenerator{g: g}
+	bg := &batchGenerator{g: g, planColumns: new(planColumns)}
 	if g.totalMean > 0 {
 		bg.trunc = simrand.NewTruncPoisson(g.totalMean)
 		if g.cfg.Aging.enabled() {
@@ -122,23 +125,12 @@ func (bg *batchGenerator) setMetrics(r *obs.Registry) {
 	}
 }
 
-func growI32(s []int32, n int) []int32 {
+// grow returns s resized to n elements. A reallocation leaves 25%
+// headroom: chunk record counts fluctuate, and sizing each column exactly
+// would reallocate it at every new high-water mark.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n, n+n/4)
 	}
 	return s[:n]
 }
@@ -183,11 +175,11 @@ func (bg *batchGenerator) plan(rng *simrand.Source, n int) {
 	for _, r := range bg.runs {
 		cand += int(r.Count)
 	}
-	bg.x = growF64(bg.x, cand)
-	bg.f64 = growF64(bg.f64, cand)
+	bg.x = grow(bg.x, cand)
+	bg.f64 = grow(bg.f64, cand)
 	rng.FillFloat64(bg.x)
 	rng.FillFloat64(bg.f64)
-	bg.u01 = growF64(bg.u01, cand)[:0]
+	bg.u01 = grow(bg.u01, cand)[:0]
 	peak := aging.Peak()
 	ci := 0
 	pos := int32(-1)
@@ -216,20 +208,20 @@ func (bg *batchGenerator) plan(rng *simrand.Source, n int) {
 // onsets are already in u01.
 func (bg *batchGenerator) fillColumns(rng *simrand.Source, R int, withOnsets bool) {
 	g := bg.g
-	bg.f64 = growF64(bg.f64, R)
+	bg.f64 = grow(bg.f64, R)
 	rng.FillFloat64(bg.f64)
-	bg.class = growI32(bg.class, R)
+	bg.class = grow(bg.class, R)
 	for i, u := range bg.f64 {
 		bg.class[i] = int32(g.classSamp.Lookup(u))
 	}
 	if withOnsets {
-		bg.u01 = growF64(bg.u01, R)
+		bg.u01 = grow(bg.u01, R)
 		rng.FillFloat64(bg.u01)
 	}
-	bg.words = growU64(bg.words, R)
-	bg.ch = growI32(bg.ch, R)
-	bg.rk = growI32(bg.rk, R)
-	bg.chip = growI32(bg.chip, R)
+	bg.words = grow(bg.words, R)
+	bg.ch = grow(bg.ch, R)
+	bg.rk = grow(bg.rk, R)
+	bg.chip = grow(bg.chip, R)
 	g.chSamp.Fill(rng, bg.ch, bg.words)
 	// Multi-rank (GranChip) records consume a rank draw here like every
 	// other record; emitPlaced's expansion overwrites it. Unconditional
@@ -278,29 +270,22 @@ func (bg *batchGenerator) emitTrial(rng *simrand.Source, i int, buf []FaultRecor
 	return buf
 }
 
-// runBatchChunk is runChunk's GenBatch body: plan the whole chunk, then
-// judge it with the selected engine. The chunk-head RNG state anchors any
-// TrialError (batch draws are interleaved across the chunk, so there is no
-// meaningful per-trial state — see TrialError.RNGState).
+// runBatchChunk is runChunk's production body: plan the whole chunk, then
+// pack the planned trials straight into the worker's LaneBatch and judge
+// them 64 at a time. Fast mode commits only the emitted trials (skipped
+// empties survive every scheme and tally nothing); otherwise every trial of
+// the chunk gets a lane. Scheme panics are contained per lane by the
+// LaneEvaluator; a panic escaping to this frame is a generation failure
+// and propagates (recovery there could not keep the stream deterministic).
+// The chunk-head RNG state anchors any TrialError (see
+// TrialError.RNGState).
 func (w *campaignWorker) runBatchChunk(ctx context.Context, lo, hi int) bool {
 	if ctx.Err() != nil {
 		return false
 	}
 	st := w.rng.State()
 	w.bg.plan(w.rng, hi-lo)
-	if w.engine == EngineLanes {
-		return w.runBatchLaneChunk(ctx, st, lo, hi)
-	}
-	return w.runBatchScalarChunk(ctx, st, lo, hi)
-}
-
-// runBatchLaneChunk packs planned trials straight into the worker's
-// LaneBatch. Fast mode commits only the emitted trials (skipped empties
-// survive every scheme and tally nothing); otherwise every trial of the
-// chunk gets a lane. Scheme panics are contained per lane by the
-// LaneEvaluator, exactly as on the scalar-generation lane path.
-func (w *campaignWorker) runBatchLaneChunk(ctx context.Context, st simrand.State, lo, hi int) bool {
-	rng, bg, b := w.rng, w.bg, &w.batch
+	rng, bg, b := w.rng, w.bg, w.batch
 	b.Reset()
 	if w.fast {
 		lv := w.lv
@@ -377,106 +362,12 @@ func (w *campaignWorker) runBatchLaneChunk(ctx context.Context, st simrand.State
 	return true
 }
 
-// runBatchScalarChunk judges a planned chunk on the scalar engines
-// (indexed/reference) with the same span-scoped panic recovery as runSpan:
-// a panicking trial is voided and the span resumes after it. Evaluation
-// never draws from rng, so the remaining emitTrial calls see exactly the
-// draws they would have in a panic-free run.
-func (w *campaignWorker) runBatchScalarChunk(ctx context.Context, st simrand.State, lo, hi int) bool {
-	t0, bi0 := lo, 0
-	for {
-		switch w.runBatchSpan(ctx, st, t0, bi0, lo, hi) {
-		case spanDone:
-			return true
-		case spanCancelled:
-			return false
-		case spanPanicked:
-			if w.fast {
-				bi0 = w.bi + 1
-			} else {
-				t0, bi0 = w.t+1, w.bi
-			}
-		}
-	}
-}
-
-// runBatchSpan evaluates planned trials from (t0, bi0) on. Fast mode walks
-// only the emitted trials (bi0 is the emitted-trial index; t0 is unused);
-// otherwise it walks every trial index with bi0 as the emitted cursor. The
-// stash fields (w.t, w.bi, w.st) are written before each evaluation so the
-// span-level recover can attribute a panic and resume.
-func (w *campaignWorker) runBatchSpan(ctx context.Context, st simrand.State, t0, bi0, lo, hi int) (status int) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if !w.inEval {
-			panic(r)
-		}
-		w.inEval = false
-		w.errs = append(w.errs, TrialError{
-			Trial:      w.t,
-			Chunk:      w.chunk,
-			RNGState:   w.st,
-			Faults:     append([]FaultRecord(nil), w.buf...),
-			PanicValue: fmt.Sprint(r),
-			Stack:      string(debug.Stack()),
-		})
-		status = spanPanicked
-	}()
-
-	rng, bg, ev := w.rng, w.bg, w.ev
-	buf, outs := w.buf, w.outs
-	defer func() { w.buf, w.outs = buf, outs }()
-	ref := w.engine == EngineReference
-
-	if w.fast {
-		for i := bi0; i < bg.emitted(); i++ {
-			if i&255 == 0 && ctx.Err() != nil {
-				return spanCancelled
-			}
-			buf = bg.emitTrial(rng, i, buf[:0])
-			w.t, w.bi, w.st, w.buf, w.inEval = lo+int(bg.trialPos[i]), i, st, buf, true
-			if ref {
-				outs = ev.referenceInto(buf, outs)
-			} else {
-				outs = ev.EvaluateInto(buf, outs)
-			}
-			w.inEval = false
-			w.outs = outs
-			w.tally()
-		}
-		return spanDone
-	}
-	ti := bi0
-	for t := t0; t < hi; t++ {
-		if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-			return spanCancelled
-		}
-		buf = buf[:0]
-		if ti < bg.emitted() && lo+int(bg.trialPos[ti]) == t {
-			buf = bg.emitTrial(rng, ti, buf)
-			ti++
-		}
-		w.t, w.bi, w.st, w.buf, w.inEval = t, ti, st, buf, true
-		if ref {
-			outs = ev.referenceInto(buf, outs)
-		} else {
-			outs = ev.EvaluateInto(buf, outs)
-		}
-		w.inEval = false
-		w.outs = outs
-		w.tally()
-	}
-	return spanDone
-}
-
-// CaptureTraceGen is CaptureTrace under a selectable generation mode: for
-// GenBatch it plans the requested trials as one batch chunk and
-// materialises every trial (empty ones stay nil, as in CaptureTrace).
-// GenScalar delegates to CaptureTrace. The conformance differential claim
-// uses this to drive random configs through the batch plan/pack path.
+// CaptureTraceGen is CaptureTrace under a selectable generator: GenBatch
+// (or "") plans the requested trials as one batch chunk, the way a campaign
+// draws them, and materialises every trial (empty ones stay nil, as in
+// CaptureTrace). GenScalar delegates to CaptureTrace. The conformance
+// differential claim uses this to drive random configs through the batch
+// plan/pack path.
 func CaptureTraceGen(cfg Config, trials int, seed uint64, gen Generator) (*Trace, error) {
 	gen, err := ParseGenerator(string(gen))
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"xedsim/internal/checkpoint"
 	"xedsim/internal/dram"
 	"xedsim/internal/obs"
 	"xedsim/internal/simrand"
@@ -245,20 +246,35 @@ func TestCaptureTraceGenMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCaptureTraceGenScalarDelegates: GenScalar captures exactly what
+// CaptureTrace does, and the zero Generator is the campaign's batch
+// generator, whose stream differs.
 func TestCaptureTraceGenScalarDelegates(t *testing.T) {
 	cfg := DefaultConfig()
 	want, err := CaptureTrace(cfg, 500, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gen := range []Generator{"", GenScalar} {
-		got, err := CaptureTraceGen(cfg, 500, 11, gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Trials, want.Trials) {
-			t.Fatalf("gen=%q: CaptureTraceGen diverged from CaptureTrace", gen)
-		}
+	got, err := CaptureTraceGen(cfg, 500, 11, GenScalar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Trials, want.Trials) {
+		t.Fatal("CaptureTraceGen(GenScalar) diverged from CaptureTrace")
+	}
+	unset, err := CaptureTraceGen(cfg, 500, 11, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := CaptureTraceGen(cfg, 500, 11, GenBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(unset.Trials, batch.Trials) {
+		t.Fatal("the zero Generator did not capture the batch stream")
+	}
+	if reflect.DeepEqual(unset.Trials, want.Trials) {
+		t.Fatal("the zero Generator captured the scalar stream")
 	}
 	if _, err := CaptureTraceGen(cfg, 500, 11, "warp"); err == nil {
 		t.Fatal("unknown generator accepted")
@@ -270,7 +286,7 @@ func TestCaptureTraceGenScalarDelegates(t *testing.T) {
 
 func TestParseGenerator(t *testing.T) {
 	for in, want := range map[string]Generator{
-		"": GenScalar, "scalar": GenScalar, "batch": GenBatch,
+		"": GenBatch, "batch": GenBatch, "scalar": GenScalar,
 	} {
 		got, err := ParseGenerator(in)
 		if err != nil || got != want {
@@ -309,43 +325,45 @@ func FuzzBatchGenVsScalar(f *testing.F) {
 }
 
 // TestBatchCampaignEngineAndWorkerInvariance pins the batch determinism
-// contract: for fixed (cfg, Trials, Seed, ChunkSize, Gen=batch) the report
-// is bit-identical across judging engines (the lane fast path, the lane
-// full path via reference-capable schemes is covered elsewhere, the indexed
-// scalar path, the O(n²) reference) and across worker counts.
+// contract: for fixed (cfg, Trials, Seed, ChunkSize) the report is
+// bit-identical between the lane path and the oracles that judge the same
+// plan one trial at a time (the indexed Evaluator, the O(n²) reference),
+// and across worker counts.
 func TestBatchCampaignEngineAndWorkerInvariance(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
 	var want *Report
 	for _, tc := range []struct {
-		engine  Engine
+		judge   string
+		oracle  func(CampaignOptions) CampaignOptions
 		workers int
 	}{
-		{EngineIndexed, 1}, {EngineIndexed, 4}, {EngineLanes, 1},
-		{EngineLanes, 16}, {EngineReference, 4},
+		{"indexed", indexedOracle, 1}, {"indexed", indexedOracle, 4}, {"lanes", nil, 1},
+		{"lanes", nil, 16}, {"reference", referenceOracle, 4},
 	} {
 		opts := campaignTestOpts()
-		opts.Gen = GenBatch
-		opts.Engine = tc.engine
 		opts.Workers = tc.workers
+		if tc.oracle != nil {
+			opts = tc.oracle(opts)
+		}
 		rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
 		if rep.Trials != uint64(opts.Trials) {
-			t.Fatalf("engine=%s workers=%d: tallied %d of %d trials",
-				tc.engine, tc.workers, rep.Trials, opts.Trials)
+			t.Fatalf("%s workers=%d: tallied %d of %d trials",
+				tc.judge, tc.workers, rep.Trials, opts.Trials)
 		}
 		if want == nil {
 			want = rep
 			continue
 		}
 		if !reflect.DeepEqual(rep.Results, want.Results) {
-			t.Fatalf("engine=%s workers=%d diverged:\n%+v\nvs\n%+v",
-				tc.engine, tc.workers, rep.Results, want.Results)
+			t.Fatalf("%s workers=%d diverged:\n%+v\nvs\n%+v",
+				tc.judge, tc.workers, rep.Results, want.Results)
 		}
 	}
 }
 
-// TestBatchVsScalarCampaignLaw: the two generation modes draw different
-// streams, so their tallies differ — but only within Monte-Carlo noise.
+// TestBatchVsScalarCampaignLaw: the batch generator and the scalar oracle
+// draw different streams, so their tallies differ — but only within Monte-Carlo noise.
 // A per-scheme 6-sigma gate over an inflated-FIT campaign catches any
 // systematic distributional skew in the batch plan.
 func TestBatchVsScalarCampaignLaw(t *testing.T) {
@@ -356,16 +374,14 @@ func TestBatchVsScalarCampaignLaw(t *testing.T) {
 		cfg.FITs[i].Rate *= 100
 	}
 	schemes := AllSchemes()
-	opts := CampaignOptions{Trials: 100_000, Seed: 424242, ChunkSize: 4096,
-		Engine: EngineLanes, Workers: 4}
-	scalar := mustCampaign(t, context.Background(), cfg, schemes, opts)
-	opts.Gen = GenBatch
+	opts := CampaignOptions{Trials: 100_000, Seed: 424242, ChunkSize: 4096, Workers: 4}
+	scalar := mustCampaign(t, context.Background(), cfg, schemes, scalarOracle(opts))
 	batch := mustCampaign(t, context.Background(), cfg, schemes, opts)
 	for i := range schemes {
 		a, b := scalar.Results[i], batch.Results[i]
 		for _, v := range []struct {
-			name     string
-			sa, sb   uint64
+			name   string
+			sa, sb uint64
 		}{
 			{"failures", a.Failures, b.Failures},
 			{"dues", a.DUEs, b.DUEs},
@@ -380,29 +396,34 @@ func TestBatchVsScalarCampaignLaw(t *testing.T) {
 	}
 }
 
+// TestCampaignHashCoversGenerator: a campaign hashes as generated by the
+// batch generator ("gen":"batch", the hash explicit-batch checkpoints have
+// always carried), and the scalar generator's hash (the field omitted, as
+// every scalar checkpoint has it) differs, so neither resumes the other.
 func TestCampaignHashCoversGenerator(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
 	opts := campaignTestOpts()
-	unset, err := CampaignHash(cfg, schemes, opts)
+	h, err := CampaignHash(cfg, schemes, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Gen = GenScalar
-	scalar, err := CampaignHash(cfg, schemes, opts)
+	in := campaignHashInput{Config: cfg, Schemes: SchemeNames(), Trials: opts.Trials,
+		Seed: opts.Seed, ChunkSize: opts.ChunkSize, Gen: "batch"}
+	if want, _ := checkpoint.Hash(in); h != want {
+		t.Fatal(`campaign hash does not cover "gen":"batch"; batch checkpoints would be orphaned`)
+	}
+	in.Gen = ""
+	legacy, _ := checkpoint.Hash(in)
+	scalar, err := CampaignHash(cfg, schemes, scalarOracle(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scalar != unset {
-		t.Fatal("explicit scalar generator changed the campaign hash; old checkpoints would be orphaned")
+	if scalar != legacy {
+		t.Fatal("scalar generator's hash moved; its checkpoints would no longer be recognised")
 	}
-	opts.Gen = GenBatch
-	batch, err := CampaignHash(cfg, schemes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch == unset {
-		t.Fatal("batch generator not covered by the campaign hash; a scalar checkpoint could resume a batch run")
+	if scalar == h {
+		t.Fatal("generator not covered by the campaign hash; a scalar checkpoint could resume a batch run")
 	}
 }
 
@@ -414,8 +435,6 @@ func TestBatchCampaignCheckpointResume(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
 	opts := campaignTestOpts()
-	opts.Gen = GenBatch
-	opts.Engine = EngineLanes
 	full := mustCampaign(t, context.Background(), cfg, schemes, opts)
 
 	path := t.TempDir() + "/batch.ckpt"
@@ -477,8 +496,6 @@ func TestBatchGenMetricsShape(t *testing.T) {
 	cfg := DefaultConfig()
 	reg := obs.NewRegistry()
 	opts := campaignTestOpts()
-	opts.Gen = GenBatch
-	opts.Engine = EngineLanes
 	opts.Metrics = reg
 	rep := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 	snap := reg.Snapshot()

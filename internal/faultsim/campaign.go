@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,8 +35,8 @@ import (
 //     an interrupted+resumed campaign equals an uninterrupted one.
 //   - Panic isolation: trial evaluation (scheme code) never touches the
 //     trial RNG, so a panicking trial is caught, voided and recorded as a
-//     TrialError without desynchronising the chunk's stream; the RNG state
-//     captured at the head of the trial replays it in isolation.
+//     TrialError without desynchronising the chunk's stream; its recorded
+//     fault stream replays it in isolation.
 //
 // Chunk streams rather than per-trial streams are a measured tradeoff:
 // reseeding xoshiro per trial costs more than an average trial does
@@ -67,54 +66,21 @@ const (
 // panicked than ErrorBudget tolerates.
 var ErrErrorBudgetExceeded = errors.New("faultsim: trial-error budget exceeded")
 
-// Engine selects the trial-judging implementation a campaign runs on.
-// Every engine produces bit-identical Reports for the same (cfg, Trials,
-// Seed, ChunkSize): engines differ only in how trials are judged, never in
-// how they are generated (the RNG draw sequence is engine-invariant), so
-// the choice is excluded from the checkpoint config hash and a campaign
-// may even be checkpointed under one engine and resumed under another.
-type Engine string
-
-const (
-	// EngineIndexed is the pre-indexed scalar Evaluator (the default).
-	EngineIndexed Engine = "indexed"
-	// EngineLanes is the bit-sliced LaneEvaluator: 64 trials judged per
-	// machine word, with scalar probes only for lanes the lane masks
-	// cannot prove alive. See lanes.go.
-	EngineLanes Engine = "lanes"
-	// EngineReference judges every trial with the O(n²) reference probe —
-	// slow, kept for differential gating and debugging.
-	EngineReference Engine = "reference"
-)
-
-// ParseEngine maps a CLI/flag string to an Engine. The empty string
-// selects EngineIndexed.
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case "", EngineIndexed:
-		return EngineIndexed, nil
-	case EngineLanes:
-		return EngineLanes, nil
-	case EngineReference:
-		return EngineReference, nil
-	}
-	return "", fmt.Errorf("faultsim: unknown engine %q (want indexed, lanes or reference)", s)
-}
-
-// Generator selects the trial-generation implementation a campaign runs on.
-// Unlike Engine, the choice IS part of the campaign's identity: the batch
-// generator draws the same distributions but consumes uniforms in a
-// different (column-major) order, so its trial streams — while exactly
-// distributed like the scalar ones, see batchgen.go — are not bit-identical
-// to them. The generator is therefore included in the checkpoint config
-// hash, and a campaign checkpointed under one generator cannot be resumed
-// under the other. For a fixed (cfg, Trials, Seed, ChunkSize, Gen), results
-// remain bit-identical across worker counts, engines, and resume patterns.
+// Generator names a trial-generation implementation. Campaigns always run
+// GenBatch. The scalar generator still drives TrialSource and the fleet
+// simulator, and is the oracle FuzzBatchGenVsScalar and the batch
+// generator's law tests compare against; GenScalar selects it in
+// CaptureTraceGen. The two draw the same distributions, but the batch generator consumes
+// uniforms in a different (column-major) order, so its trial streams —
+// exactly distributed like the scalar ones, see batchgen.go — are not
+// bit-identical to them. The config hash therefore covers the generator:
+// a checkpoint written by the scalar generator (every campaign's default
+// before batch generation became the only path) is refused, never resumed
+// on a different stream.
 type Generator string
 
 const (
-	// GenScalar draws each trial's records one scalar variate at a time
-	// (the default; bit-compatible with every release since PR 2).
+	// GenScalar draws each trial's records one scalar variate at a time.
 	GenScalar Generator = "scalar"
 	// GenBatch plans a whole chunk of trials at once in structure-of-arrays
 	// form: one arrival-run pass, then class/onset/geometry columns filled
@@ -122,16 +88,16 @@ const (
 	GenBatch Generator = "batch"
 )
 
-// ParseGenerator maps a CLI/flag string to a Generator. The empty string
-// selects GenScalar.
+// ParseGenerator maps a name to a Generator. The empty string selects
+// GenBatch, the campaign generator.
 func ParseGenerator(s string) (Generator, error) {
 	switch Generator(s) {
-	case "", GenScalar:
-		return GenScalar, nil
-	case GenBatch:
+	case "", GenBatch:
 		return GenBatch, nil
+	case GenScalar:
+		return GenScalar, nil
 	}
-	return "", fmt.Errorf("faultsim: unknown generator %q (want scalar or batch)", s)
+	return "", fmt.Errorf("faultsim: unknown generator %q (want batch or scalar)", s)
 }
 
 // CampaignOptions parameterises RunCampaign.
@@ -163,14 +129,6 @@ type CampaignOptions struct {
 	// (and once at startup when resuming): completed and total chunk
 	// counts. It is called from worker goroutines, serialised.
 	OnChunk func(doneChunks, totalChunks int)
-	// Engine selects the trial-judging implementation; the zero value is
-	// EngineIndexed. Reports are bit-identical across engines.
-	Engine Engine
-	// Gen selects the trial-generation implementation; the zero value is
-	// GenScalar. Unlike Engine, Gen is part of the campaign's identity
-	// (GenBatch consumes the substreams in a different order), so it is
-	// covered by the checkpoint config hash.
-	Gen Generator
 	// Metrics, when non-nil, publishes live campaign counters under
 	// "campaign.*" names: trial/chunk progress, per-scheme failure
 	// tallies, trial errors and checkpoint save latency. Tallies advance
@@ -178,20 +136,32 @@ type CampaignOptions struct {
 	// path); only campaign.trials_evaluated ticks per evaluated trial,
 	// with a single nil-safe atomic add.
 	Metrics *obs.Registry
+
+	// oracle, set only by this package's tests, swaps the production chunk
+	// loop for a slower reference one (see oracle_test.go).
+	oracle *chunkOracle
 }
 
-// TrialError records one panicking trial: where it was, the serialized RNG
-// state that regenerates it, the fault stream it drew, and what the panic
-// said. The campaign voids the trial (no scheme tallies it) and continues.
+// chunkOracle is a reference path for one campaign chunk, kept for tests
+// that compare Reports against the production path: run generates and
+// judges trials [lo, hi) into the worker's tallies and reports false if
+// ctx cancelled it. scalar marks oracles drawing with the scalar
+// generator, a distinct stream the config hash must tell apart.
+type chunkOracle struct {
+	scalar bool
+	run    func(w *campaignWorker, ctx context.Context, lo, hi int) bool
+}
+
+// TrialError records one panicking trial: where it was, the fault stream
+// it drew, and what the panic said. The campaign voids the trial (no scheme
+// tallies it) and continues.
 type TrialError struct {
 	// Trial is the global trial index; Chunk the chunk it belongs to.
 	Trial int `json:"trial"`
 	Chunk int `json:"chunk"`
-	// RNGState is the simrand state at the head of the generate call that
-	// produced this trial — the trial's replay seed (see Replay). Under
-	// GenBatch a trial's draws are interleaved with the rest of its chunk,
-	// so this is the chunk-head substream state instead and Replay cannot
-	// regenerate the stream; Faults carries the authoritative records.
+	// RNGState is the chunk substream's state at the head of the chunk.
+	// A chunk's trials are planned together, so no per-trial state exists;
+	// Faults carries the authoritative records (see Replay).
 	RNGState simrand.State `json:"rng_state"`
 	// Faults is the trial's generated fault stream.
 	Faults []FaultRecord `json:"faults"`
@@ -205,15 +175,11 @@ func (e *TrialError) Error() string {
 	return fmt.Sprintf("faultsim: trial %d (chunk %d) panicked: %s", e.Trial, e.Chunk, e.PanicValue)
 }
 
-// Replay regenerates the errored trial in isolation: it restores the
-// recorded RNG state, draws the trial's fault stream with the same
-// scheme-filtered generator the campaign used, and re-evaluates it with
-// the panic contained. cfg and schemes must match the original campaign's
-// (generation is filtered by what the schemes can react to). It returns
-// the regenerated faults, the per-scheme outcomes (nil if the panic
-// recurred) and the recovered panic value (nil if it did not). Replay
-// regenerates with the scalar generator; for a GenBatch campaign's errors
-// use the recorded Faults directly (see RNGState).
+// Replay re-judges the errored trial in isolation: it evaluates the
+// recorded fault stream with schemes, the panic contained. cfg and schemes
+// must match the original campaign's. It returns the faults it judged, the
+// per-scheme outcomes (nil if the panic recurred) and the recovered panic
+// value (nil if it did not).
 func (e *TrialError) Replay(cfg Config, schemes []Scheme) (faults []FaultRecord, outs []TrialOutcome, panicked any, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -221,17 +187,8 @@ func (e *TrialError) Replay(cfg Config, schemes []Scheme) (faults []FaultRecord,
 	if len(schemes) == 0 {
 		return nil, nil, nil, fmt.Errorf("faultsim: no schemes to evaluate")
 	}
-	rng, err := simrand.Restore(e.RNGState)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	faults = append([]FaultRecord(nil), e.Faults...)
 	ev := NewEvaluator(&cfg, schemes)
-	gen := newRunGenerator(&cfg, ev)
-	if ev.EmptyTrialsSurvive() {
-		_, faults = gen.nextNonEmpty(rng, nil)
-	} else {
-		faults = gen.Trial(rng, nil)
-	}
 	func() {
 		defer func() { panicked = recover() }()
 		outs = append([]TrialOutcome(nil), ev.EvaluateInto(faults, nil)...)
@@ -282,7 +239,8 @@ type campaignSnapshot struct {
 
 // campaignHashInput is what the checkpoint config hash covers: everything
 // that shapes the trial streams and the meaning of the accumulators. Gen is
-// omitted when scalar so every pre-batch checkpoint hash stays valid.
+// "batch" for every campaign; scalar-generator campaigns hashed with it
+// omitted, which keeps their checkpoints distinguishable.
 type campaignHashInput struct {
 	Config    Config   `json:"config"`
 	Schemes   []string `json:"schemes"`
@@ -357,7 +315,7 @@ func newCampaignMetrics(r *obs.Registry, schemes []Scheme) campaignMetrics {
 }
 
 // newEngine validates (cfg, schemes, opts), normalizes the options
-// (default chunk size, checkpoint interval, error budget, engine) and
+// (default chunk size, checkpoint interval, error budget) and
 // builds the campaign accumulator state shared by RunCampaign, ChunkRunner
 // and Merger. needHash forces the config-hash computation even when no
 // CheckpointPath is set (distributed merging always needs it).
@@ -383,14 +341,6 @@ func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool
 	case opts.ErrorBudget < 0:
 		opts.ErrorBudget = 0
 	}
-	var err error
-	if opts.Engine, err = ParseEngine(string(opts.Engine)); err != nil {
-		return nil, err
-	}
-	if opts.Gen, err = ParseGenerator(string(opts.Gen)); err != nil {
-		return nil, err
-	}
-
 	e := &engine{
 		cfg:     cfg,
 		schemes: schemes,
@@ -399,19 +349,12 @@ func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool
 		nChunks: (opts.Trials + opts.ChunkSize - 1) / opts.ChunkSize,
 	}
 	if needHash {
-		names := make([]string, len(schemes))
-		for i, s := range schemes {
-			names[i] = s.Name()
+		gen := GenBatch
+		if opts.oracle != nil && opts.oracle.scalar {
+			gen = GenScalar
 		}
-		gen := string(opts.Gen)
-		if opts.Gen == GenScalar {
-			gen = "" // omitempty: pre-batch checkpoint hashes stay valid
-		}
-		e.hash, err = checkpoint.Hash(campaignHashInput{
-			Config: cfg, Schemes: names, Trials: opts.Trials, Seed: opts.Seed, ChunkSize: opts.ChunkSize,
-			Gen: gen,
-		})
-		if err != nil {
+		var err error
+		if e.hash, err = e.configHash(gen); err != nil {
 			return nil, err
 		}
 	}
@@ -423,7 +366,25 @@ func newEngine(cfg Config, schemes []Scheme, opts CampaignOptions, needHash bool
 	return e, nil
 }
 
-// RunCampaign executes a resilient Monte-Carlo campaign. It honours ctx
+// configHash hashes the campaign's identity as generated by gen. The scalar
+// generator's hash omits the field, as every checkpoint it wrote did.
+func (e *engine) configHash(gen Generator) (string, error) {
+	names := make([]string, len(e.schemes))
+	for i, s := range e.schemes {
+		names[i] = s.Name()
+	}
+	in := campaignHashInput{Config: e.cfg, Schemes: names, Trials: e.opts.Trials,
+		Seed: e.opts.Seed, ChunkSize: e.opts.ChunkSize}
+	if gen != GenScalar {
+		in.Gen = string(gen)
+	}
+	return checkpoint.Hash(in)
+}
+
+// RunCampaign executes a resilient Monte-Carlo campaign. Each chunk is
+// planned by the batch generator and judged 64 trials per machine word by
+// the LaneEvaluator (lanes.go), which falls back to the indexed Evaluator
+// only for lanes its masks cannot decide. It honours ctx
 // cancellation by draining workers at chunk boundaries and returning the
 // partial Report alongside ctx's error; with CheckpointPath set it also
 // snapshots progress periodically and on cancellation, and Resume picks a
@@ -509,17 +470,14 @@ func RunCampaign(ctx context.Context, cfg Config, schemes []Scheme, opts Campaig
 
 // worker pulls chunk indices until the queue drains or ctx cancels.
 func (e *engine) worker(ctx context.Context) {
-	w := newCampaignWorker(&e.cfg, e.schemes, e.opts.Seed, e.years, e.opts.Engine, e.opts.Gen)
+	w := newCampaignWorker(&e.cfg, e.schemes, e.opts.Seed, e.years, e.opts.oracle)
+	defer w.release()
 	// Per-trial evaluation counter: a single nil-safe atomic add on the
 	// non-empty-trial path (nil registry → nil counter → no-op).
 	w.ev.SetTrialCounter(e.opts.Metrics.Counter("campaign.trials_evaluated"))
-	if w.lv != nil {
-		w.lv.SetCounters(e.opts.Metrics.Counter("campaign.lane_batches"),
-			e.opts.Metrics.Counter("campaign.lane_probes"))
-	}
-	if w.bg != nil {
-		w.bg.setMetrics(e.opts.Metrics)
-	}
+	w.lv.SetCounters(e.opts.Metrics.Counter("campaign.lane_batches"),
+		e.opts.Metrics.Counter("campaign.lane_probes"))
+	w.bg.setMetrics(e.opts.Metrics)
 	for {
 		if ctx.Err() != nil {
 			return
@@ -668,7 +626,7 @@ func (e *engine) saveLocked() error {
 // starts the campaign fresh; any mismatched snapshot is refused.
 func (e *engine) loadSnapshot() error {
 	var snap campaignSnapshot
-	err := checkpoint.Load(e.opts.CheckpointPath, checkpointKind, checkpointVersion, e.hash, &snap)
+	err := e.load(e.opts.CheckpointPath, &snap)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -676,6 +634,22 @@ func (e *engine) loadSnapshot() error {
 		return err
 	}
 	return e.restoreSnapshot(&snap, e.opts.CheckpointPath)
+}
+
+// load reads a campaign checkpoint guarded by the engine's config hash. A
+// snapshot of this very campaign written by the scalar generator is named
+// as such in the refusal: its stream differs from the batch generator's.
+func (e *engine) load(path string, snap *campaignSnapshot) error {
+	err := checkpoint.Load(path, checkpointKind, checkpointVersion, e.hash, snap)
+	if !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		return err
+	}
+	if scalar, herr := e.configHash(GenScalar); herr == nil && scalar != e.hash &&
+		checkpoint.Load(path, checkpointKind, checkpointVersion, scalar, &campaignSnapshot{}) == nil {
+		return fmt.Errorf("%w: %s was written by the scalar generator; campaigns now run the batch generator, which draws a different stream, so it cannot be resumed",
+			checkpoint.ErrConfigMismatch, path)
+	}
+	return err
 }
 
 // restoreSnapshot seeds the accumulator from a loaded snapshot, validating
@@ -732,20 +706,17 @@ func (e *engine) reportLocked() *Report {
 // campaignWorker holds one goroutine's reusable trial state plus the
 // current chunk's tallies. Nothing here allocates per trial.
 type campaignWorker struct {
-	cfg     *Config
 	seed    uint64
 	years   int
-	engine  Engine
-	genMode Generator
 	ev      *Evaluator
-	lv      *LaneEvaluator // non-nil iff engine == EngineLanes
-	batch   LaneBatch
+	lv      *LaneEvaluator
+	batch   *LaneBatch
 	gen     *generator
-	bg      *batchGenerator // non-nil iff genMode == GenBatch
+	bg      *batchGenerator
 	rng     *simrand.Source
 	fast    bool
-	buf     []FaultRecord
-	outs    []TrialOutcome
+	oracle  *chunkOracle
+	scratch *workerScratch
 
 	chunk    int
 	failures [][]uint64 // [scheme][year] first-failure buckets, this chunk; merge folds them cumulatively
@@ -753,37 +724,36 @@ type campaignWorker struct {
 	dues     []uint64
 	sdcs     []uint64
 	errs     []TrialError
-
-	// Panic-recovery bookkeeping, written just before each evaluation so a
-	// single span-level recover (rather than a per-trial defer) can attribute
-	// the panic to the right trial. See runSpan. bi is the batch-plan resume
-	// cursor (emitted-trial index), used only by runBatchSpan.
-	t      int
-	bi     int
-	st     simrand.State
-	inEval bool
 }
 
-func newCampaignWorker(cfg *Config, schemes []Scheme, seed uint64, years int, engine Engine, genMode Generator) *campaignWorker {
+// workerScratch is the part of a campaign worker that does not depend on
+// the campaign: the batch plan's columns and the lane batch. Campaigns
+// often run back to back (sweeps, sequential tests, benchmark ops), and
+// recycling the scratch through scratchPool keeps each one's garbage, and
+// the GC work it causes, down to its per-config tables.
+type workerScratch struct {
+	plan  planColumns
+	batch LaneBatch
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(workerScratch) }}
+
+func newCampaignWorker(cfg *Config, schemes []Scheme, seed uint64, years int, oracle *chunkOracle) *campaignWorker {
 	w := &campaignWorker{
-		cfg:     cfg,
 		seed:    seed,
 		years:   years,
-		engine:  engine,
-		genMode: genMode,
 		rng:     simrand.New(0),
+		oracle:  oracle,
+		scratch: scratchPool.Get().(*workerScratch),
 	}
-	// Every engine judges through (or falls back to) the same Evaluator,
-	// and generation is always filtered by its classLive so the trial
-	// streams are engine-invariant.
+	w.batch = &w.scratch.batch
+	// The lane engine falls back to the indexed Evaluator, and generation
+	// is filtered by its classLive.
 	w.ev = NewEvaluator(cfg, schemes)
-	if engine == EngineLanes {
-		w.lv = NewLaneEvaluator(w.ev)
-	}
+	w.lv = NewLaneEvaluator(w.ev)
 	w.gen = newRunGenerator(cfg, w.ev)
-	if genMode == GenBatch {
-		w.bg = newBatchGenerator(w.gen)
-	}
+	w.bg = newBatchGenerator(w.gen)
+	w.bg.planColumns = &w.scratch.plan
 	w.fast = w.ev.EmptyTrialsSurvive()
 	w.failures = make([][]uint64, len(schemes))
 	for s := range w.failures {
@@ -793,6 +763,13 @@ func newCampaignWorker(cfg *Config, schemes []Scheme, seed uint64, years int, en
 	w.dues = make([]uint64, len(schemes))
 	w.sdcs = make([]uint64, len(schemes))
 	return w
+}
+
+// release returns the worker's scratch to scratchPool; the worker must not
+// run again.
+func (w *campaignWorker) release() {
+	scratchPool.Put(w.scratch)
+	w.scratch, w.batch, w.bg = nil, nil, nil
 }
 
 // runChunk evaluates trials [lo, hi) of chunk c into the worker's tallies.
@@ -812,100 +789,23 @@ func (w *campaignWorker) runChunk(ctx context.Context, c, lo, hi int) bool {
 	// worker runs it and of every other chunk.
 	w.rng.SeedStream(w.seed, uint64(c))
 	w.gen.resetEvents()
-
-	if w.genMode == GenBatch {
-		return w.runBatchChunk(ctx, lo, hi)
+	if w.oracle != nil {
+		return w.oracle.run(w, ctx, lo, hi)
 	}
-	if w.engine == EngineLanes {
-		return w.runLaneChunk(ctx, lo, hi)
-	}
-	for t := lo; ; {
-		switch w.runSpan(ctx, t, lo, hi) {
-		case spanDone:
-			return true
-		case spanCancelled:
-			return false
-		case spanPanicked:
-			// Trial w.t was voided and recorded; the RNG sits just past its
-			// generation draws (evaluation never draws), so the remainder of
-			// the chunk replays identically to a panic-free run.
-			t = w.t + 1
-		}
-	}
+	return w.runBatchChunk(ctx, lo, hi)
 }
-
-const (
-	spanDone = iota
-	spanCancelled
-	spanPanicked
-)
 
 // cancelCheckMask paces the intra-chunk ctx poll. Cancellation is normally
 // drained at chunk boundaries; the intra-chunk check only matters for
 // outsized custom ChunkSizes.
 const cancelCheckMask = 1<<16 - 1
 
-// runLaneChunk is runChunk's trial loop for the lane engine: trials are
-// generated with the same draws and in the same order as the scalar spans,
-// but their records are packed straight into the worker's LaneBatch (no
-// per-trial copy) and judged 64 at a time at batch flushes. A lane batch
-// is a sub-unit of a chunk — the final partial batch flushes at the chunk
-// boundary — so chunk tallies, and therefore Reports, are bit-identical to
-// the indexed engine's. Panics inside scheme code are contained per lane
-// by the LaneEvaluator; a panic escaping to this frame is a generation
-// failure and propagates (recovery there could not keep the RNG stream
-// deterministic).
-func (w *campaignWorker) runLaneChunk(ctx context.Context, lo, hi int) bool {
-	rng, gen, b := w.rng, w.gen, &w.batch
-	b.Reset()
-	if w.fast {
-		for t := lo; t < hi; {
-			if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-				return false
-			}
-			st := rng.State()
-			mark := len(b.recs)
-			skipped, recs := gen.nextNonEmptyAppend(rng, b.recs)
-			b.recs = recs
-			if skipped >= hi-t {
-				// The rest of the chunk drew empty trials; the non-empty
-				// trial just generated belongs past the chunk boundary.
-				b.recs = b.recs[:mark]
-				break
-			}
-			t += skipped
-			if len(b.recs) > mark { // aging thinning can still empty a trial
-				b.commit(t, st)
-				if b.Lanes() == LaneWidth {
-					w.flushBatch()
-				}
-			}
-			t++
-		}
-	} else {
-		for t := lo; t < hi; t++ {
-			if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-				return false
-			}
-			st := rng.State()
-			b.recs = gen.trialAppend(rng, b.recs)
-			b.commit(t, st)
-			if b.Lanes() == LaneWidth {
-				w.flushBatch()
-			}
-		}
-	}
-	w.flushBatch()
-	return true
-}
-
 // flushBatch judges the pending lane batch and folds its failure masks
-// into the chunk accumulators — the lane engine's analogue of tally(),
-// popping mask bits instead of scanning per-trial outcomes. Voided
-// (panicked) lanes are excluded from every scheme's tallies and recorded
-// as TrialErrors, exactly like a voided scalar trial.
+// into the chunk accumulators, popping mask bits instead of scanning
+// per-trial outcomes. Voided (panicked) lanes are excluded from every
+// scheme's tallies and recorded as TrialErrors.
 func (w *campaignWorker) flushBatch() {
-	b := &w.batch
+	b := w.batch
 	if b.Lanes() == 0 {
 		return
 	}
@@ -938,112 +838,4 @@ func (w *campaignWorker) flushBatch() {
 		})
 	}
 	b.Reset()
-}
-
-// runSpan evaluates trials [t0, hi) of the current chunk, stopping early on
-// cancellation or on the first panicking trial. Panic recovery is hoisted to
-// span scope — a single defer per span instead of one per trial — because the
-// per-trial defer alone costs more than an average trial. A panic voids the
-// trial: it is recorded as a TrialError (with the pre-trial RNG state as its
-// replay seed) and excluded from every scheme's tally, and runChunk resumes
-// the span after it. Panics outside evaluation (generation is RNG-stateful,
-// so recovery there could not keep the stream deterministic) are re-raised.
-func (w *campaignWorker) runSpan(ctx context.Context, t0, lo, hi int) (status int) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if !w.inEval {
-			panic(r)
-		}
-		w.inEval = false
-		w.errs = append(w.errs, TrialError{
-			Trial:      w.t,
-			Chunk:      w.chunk,
-			RNGState:   w.st,
-			Faults:     append([]FaultRecord(nil), w.buf...),
-			PanicValue: fmt.Sprint(r),
-			Stack:      string(debug.Stack()),
-		})
-		status = spanPanicked
-	}()
-
-	// Hot-loop state lives in locals; the struct fields are written only at
-	// the pre-evaluation stash point (for the recover above) and on exit.
-	rng, gen, ev := w.rng, w.gen, w.ev
-	buf, outs := w.buf, w.outs
-	defer func() { w.buf, w.outs = buf, outs }()
-	// The reference engine re-judges every trial with the O(n²) probe; a
-	// single predicted branch per trial keeps the indexed hot path shared.
-	ref := w.engine == EngineReference
-
-	if w.fast {
-		// Fast path (see Run): empty trials survive every scheme, so the
-		// generator skips their geometric runs wholesale.
-		for t := t0; t < hi; {
-			if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-				return spanCancelled
-			}
-			st := rng.State()
-			skipped, rec := gen.nextNonEmpty(rng, buf)
-			buf = rec
-			if skipped >= hi-t {
-				return spanDone // rest of the chunk drew empty trials
-			}
-			t += skipped
-			if len(buf) > 0 { // aging thinning can still empty a trial
-				w.t, w.st, w.buf, w.inEval = t, st, buf, true
-				if ref {
-					outs = ev.referenceInto(buf, outs)
-				} else {
-					outs = ev.EvaluateInto(buf, outs)
-				}
-				w.inEval = false
-				w.outs = outs
-				w.tally()
-			}
-			t++
-		}
-		return spanDone
-	}
-	for t := t0; t < hi; t++ {
-		if (t-lo)&cancelCheckMask == 0 && ctx.Err() != nil {
-			return spanCancelled
-		}
-		st := rng.State()
-		buf = gen.Trial(rng, buf)
-		w.t, w.st, w.buf, w.inEval = t, st, buf, true
-		if ref {
-			outs = ev.referenceInto(buf, outs)
-		} else {
-			outs = ev.EvaluateInto(buf, outs)
-		}
-		w.inEval = false
-		w.outs = outs
-		w.tally()
-	}
-	return spanDone
-}
-
-// tally folds the current trial's outcomes into the chunk accumulators.
-func (w *campaignWorker) tally() {
-	for s := range w.outs {
-		ft := w.outs[s].FailTime
-		if math.IsInf(ft, 1) {
-			continue
-		}
-		w.total[s]++
-		switch w.outs[s].Kind {
-		case FailDUE:
-			w.dues[s]++
-		case FailSDC:
-			w.sdcs[s]++
-		}
-		yr := int(ft * invHoursPerYear)
-		if yr >= w.years {
-			yr = w.years - 1
-		}
-		w.failures[s][yr]++
-	}
 }

@@ -1,12 +1,15 @@
 package faultsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,6 +209,42 @@ func TestRunCampaignRefusesMismatchedCheckpoint(t *testing.T) {
 		if _, err := RunCampaign(context.Background(), mcfg, schemes, mopts); !errors.Is(err, checkpoint.ErrConfigMismatch) {
 			t.Fatalf("%s mutation: resume returned %v, want ErrConfigMismatch", name, err)
 		}
+	}
+}
+
+// TestRunCampaignRefusesScalarCheckpoint: testdata/prebatch-scalar.ckpt is
+// a complete checkpoint written when the scalar generator was every
+// campaign's default (DefaultConfig, all six schemes, 20k trials, seed 7,
+// one worker). Resuming it now is refused with the typed mismatch error,
+// naming the generator, rather than continued on the batch stream. The
+// scalar oracle still writes those bytes exactly, so the scalar stream has
+// not drifted either.
+func TestRunCampaignRefusesScalarCheckpoint(t *testing.T) {
+	want, err := os.ReadFile("testdata/prebatch-scalar.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "prebatch.ckpt")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := CampaignOptions{Trials: 20_000, Seed: 7, Workers: 1, CheckpointPath: path, Resume: true}
+	_, err = RunCampaign(context.Background(), DefaultConfig(), AllSchemes(), opts)
+	if !errors.Is(err, checkpoint.ErrConfigMismatch) {
+		t.Fatalf("resuming a scalar checkpoint returned %v, want ErrConfigMismatch", err)
+	}
+	if !strings.Contains(err.Error(), "scalar generator") {
+		t.Fatalf("refusal %q does not name the generator", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatal("refused resume rewrote the checkpoint")
+	}
+
+	opts = scalarOracle(CampaignOptions{Trials: 20_000, Seed: 7, Workers: 1,
+		CheckpointPath: filepath.Join(t.TempDir(), "scalar.ckpt")})
+	mustCampaign(t, context.Background(), DefaultConfig(), AllSchemes(), opts)
+	if got, _ := os.ReadFile(opts.CheckpointPath); !bytes.Equal(got, want) {
+		t.Fatal("the scalar oracle no longer writes the scalar generator's checkpoint bytes")
 	}
 }
 

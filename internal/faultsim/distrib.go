@@ -55,15 +55,11 @@ type ChunkResult struct {
 }
 
 // CampaignHash returns the config hash guarding checkpoint compatibility
-// for a campaign shaped by (cfg, schemes, Trials, Seed, ChunkSize, Gen) —
-// the same hash RunCampaign stamps into snapshots. Distributed deployments
-// use it as the job identity: two submissions hashing equal are the same
-// campaign and produce bit-identical results, so a completed result can be
-// served from cache. The evaluation Engine is deliberately excluded
-// (engines are bit-identical by construction); the Generator is included
-// (the batch generator consumes the substreams in a different order, so
-// its results — exactly distributed but not bit-identical — are a distinct
-// campaign identity).
+// for a campaign shaped by (cfg, schemes, Trials, Seed, ChunkSize) and the
+// batch generator — the same hash RunCampaign stamps into snapshots.
+// Distributed deployments use it as the job identity: two submissions
+// hashing equal are the same campaign and produce bit-identical results,
+// so a completed result can be served from cache.
 func CampaignHash(cfg Config, schemes []Scheme, opts CampaignOptions) (string, error) {
 	e, err := newEngine(cfg, schemes, opts, true)
 	if err != nil {
@@ -84,8 +80,8 @@ type ChunkRunner struct {
 }
 
 // NewChunkRunner builds a runner for the campaign shaped by (cfg, schemes,
-// opts). Only Trials, Seed, ChunkSize, Engine, Gen and ErrorBudget of opts
-// are meaningful here; scheduling fields (Workers, CheckpointPath, OnChunk,
+// opts). Only Trials, Seed, ChunkSize and ErrorBudget of opts are
+// meaningful here; scheduling fields (Workers, CheckpointPath, OnChunk,
 // Metrics) belong to the caller's loop.
 func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkRunner, error) {
 	e, err := newEngine(cfg, schemes, opts, true)
@@ -94,7 +90,7 @@ func NewChunkRunner(cfg Config, schemes []Scheme, opts CampaignOptions) (*ChunkR
 	}
 	return &ChunkRunner{
 		e: e,
-		w: newCampaignWorker(&e.cfg, e.schemes, e.opts.Seed, e.years, e.opts.Engine, e.opts.Gen),
+		w: newCampaignWorker(&e.cfg, e.schemes, e.opts.Seed, e.years, e.opts.oracle),
 	}, nil
 }
 
@@ -316,7 +312,7 @@ func (m *Merger) Save(path string) error {
 // refused with the checkpoint sentinel errors.
 func (m *Merger) Load(path string) error {
 	var snap campaignSnapshot
-	err := checkpoint.Load(path, checkpointKind, checkpointVersion, m.e.hash, &snap)
+	err := m.e.load(path, &snap)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}

@@ -91,23 +91,22 @@ func TestMergerMatchesRunCampaign(t *testing.T) {
 	}
 }
 
-// TestMergerLaneEngineBitIdentical crosses the engine axis: spans run on
-// the lanes engine merge to the same bytes as an indexed local run.
+// TestMergerLaneEngineBitIdentical crosses the judging axis: spans run on
+// the lane path merge to the same Report as a local run under the indexed
+// oracle.
 func TestMergerLaneEngineBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LifetimeHours = 2 * HoursPerYear
 	mkSchemes := func() []Scheme { return []Scheme{NewXED()} }
 	opts := distTestOpts()
 
-	localRep, err := RunCampaign(context.Background(), cfg, mkSchemes(), opts)
+	localRep, err := RunCampaign(context.Background(), cfg, mkSchemes(), indexedOracle(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	laneOpts := opts
-	laneOpts.Engine = EngineLanes
-	m := runSpans(t, cfg, mkSchemes, laneOpts, 13, rand.New(rand.NewSource(5)))
+	m := runSpans(t, cfg, mkSchemes, opts, 13, rand.New(rand.NewSource(5)))
 	if !reflect.DeepEqual(m.Report(), localRep) {
-		t.Fatal("lane-engine merged Report differs from indexed RunCampaign")
+		t.Fatal("lane-path merged Report differs from the indexed oracle's RunCampaign")
 	}
 }
 
@@ -306,7 +305,7 @@ func TestMergerSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestCampaignHashIdentity pins the job-identity semantics: the hash is
-// stable across engines (bit-identical results ⇒ same cache key) and
+// stable across judging paths (bit-identical results ⇒ same cache key) and
 // discriminates on everything that shapes the trial streams.
 func TestCampaignHashIdentity(t *testing.T) {
 	cfg := DefaultConfig()
@@ -316,10 +315,8 @@ func TestCampaignHashIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := base
-	lanes.Engine = EngineLanes
-	if h, _ := CampaignHash(cfg, schemes, lanes); h != h0 {
-		t.Fatal("engine choice changed the campaign hash")
+	if h, _ := CampaignHash(cfg, schemes, indexedOracle(base)); h != h0 {
+		t.Fatal("judging path changed the campaign hash")
 	}
 	// Explicit default chunk size hashes like the implicit one.
 	explicit := base

@@ -208,18 +208,6 @@ func (e *Evaluator) EvaluateInto(faults []FaultRecord, out []TrialOutcome) []Tri
 	return out
 }
 
-// referenceInto judges the trial with every scheme's reference probe
-// (O(n²) FailTimeKind) instead of the pre-index — the EngineReference
-// campaign path, kept for differential gating and debugging.
-func (e *Evaluator) referenceInto(faults []FaultRecord, out []TrialOutcome) []TrialOutcome {
-	e.trials.Inc()
-	out = out[:0]
-	for i := range e.evals {
-		out = append(out, e.genericOutcome(e.evals[i].scheme, faults))
-	}
-	return out
-}
-
 // prepare digests the trial's records into e.prep (see prepRec).
 func (e *Evaluator) prepare(faults []FaultRecord) {
 	prep := e.prep[:0]

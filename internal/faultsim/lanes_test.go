@@ -28,47 +28,23 @@ func denseConfig(factor FIT) Config {
 	return cfg
 }
 
-func TestParseEngine(t *testing.T) {
-	for s, want := range map[string]Engine{
-		"": EngineIndexed, "indexed": EngineIndexed,
-		"lanes": EngineLanes, "reference": EngineReference,
-	} {
-		got, err := ParseEngine(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
-	}
-	if _, err := RunCampaign(context.Background(), DefaultConfig(), AllSchemes(),
-		CampaignOptions{Trials: 10, Engine: "warp"}); err == nil {
-		t.Fatal("RunCampaign accepted an unknown engine")
-	}
-}
-
 // TestLaneEngineBoundaries pins the lane-packing arithmetic at the word
 // boundaries: trial counts around one lane word, chunks smaller than a
 // word (so every batch is partial), and chunks that split words unevenly.
-// Every engine must produce bit-identical Results.
+// The lane path and the reference-probe oracle must both produce Results
+// bit-identical to the indexed oracle's.
 func TestLaneEngineBoundaries(t *testing.T) {
 	cfg := denseConfig(150)
 	schemes := AllSchemes()
 	for _, trials := range []int{1, 63, 64, 65, 130} {
 		for _, chunk := range []int{1, 7, 64, 4096} {
 			base := CampaignOptions{Trials: trials, Seed: 7, ChunkSize: chunk, Workers: 2}
-			var want *Report
-			for _, engine := range []Engine{EngineIndexed, EngineLanes, EngineReference} {
-				opts := base
-				opts.Engine = engine
+			want := mustCampaign(t, context.Background(), cfg, schemes, indexedOracle(base))
+			for name, opts := range map[string]CampaignOptions{"lanes": base, "reference": referenceOracle(base)} {
 				rep := mustCampaign(t, context.Background(), cfg, schemes, opts)
-				if engine == EngineIndexed {
-					want = rep
-					continue
-				}
 				if !reflect.DeepEqual(rep.Results, want.Results) {
-					t.Fatalf("trials=%d chunk=%d engine=%s diverged from indexed:\n%+v\nvs\n%+v",
-						trials, chunk, engine, rep.Results, want.Results)
+					t.Fatalf("trials=%d chunk=%d %s diverged from indexed:\n%+v\nvs\n%+v",
+						trials, chunk, name, rep.Results, want.Results)
 				}
 			}
 		}
@@ -97,8 +73,7 @@ func TestLaneEngineEquivalenceSweep(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		opts := CampaignOptions{Trials: 30_000, Seed: 11, ChunkSize: 512, Workers: 4}
-		indexed := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
-		opts.Engine = EngineLanes
+		indexed := mustCampaign(t, context.Background(), cfg, AllSchemes(), indexedOracle(opts))
 		lanes := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 		if !reflect.DeepEqual(indexed.Results, lanes.Results) {
 			t.Fatalf("%s: lane engine diverged:\n%+v\nvs\n%+v", name, lanes.Results, indexed.Results)
@@ -142,8 +117,7 @@ func TestLaneEngineCustomDomainAndHeavyWeights(t *testing.T) {
 		NewRankErasureScheme("Heavy130", 200, heavy(130)),
 	}
 	opts := CampaignOptions{Trials: 20_000, Seed: 3, ChunkSize: 512, Workers: 2}
-	indexed := mustCampaign(t, context.Background(), cfg, schemes, opts)
-	opts.Engine = EngineLanes
+	indexed := mustCampaign(t, context.Background(), cfg, schemes, indexedOracle(opts))
 	lanes := mustCampaign(t, context.Background(), cfg, schemes, opts)
 	if !reflect.DeepEqual(indexed.Results, lanes.Results) {
 		t.Fatalf("lane engine diverged on custom/heavy schemes:\n%+v\nvs\n%+v",
@@ -152,18 +126,17 @@ func TestLaneEngineCustomDomainAndHeavyWeights(t *testing.T) {
 }
 
 // TestLaneEnginePanicIsolation: a panicking opaque scheme voids exactly
-// the same trials under the lane engine as under the indexed one, and the
+// the same trials on the lane path as under the indexed oracle, and the
 // surviving tallies stay bit-identical.
 func TestLaneEnginePanicIsolation(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := []Scheme{NewXED(), &panicScheme{minFaults: 2}}
 	opts := campaignTestOpts()
 	opts.ErrorBudget = 1 << 20
-	indexed, err := RunCampaign(context.Background(), cfg, schemes, opts)
+	indexed, err := RunCampaign(context.Background(), cfg, schemes, indexedOracle(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Engine = EngineLanes
 	lanes, err := RunCampaign(context.Background(), cfg, schemes, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +165,10 @@ func TestLaneEnginePanicIsolation(t *testing.T) {
 	}
 }
 
-// TestLaneEngineCrossEngineResume: the engine is excluded from the
+// TestLaneEngineCrossEngineResume: the judging path is excluded from the
 // checkpoint config hash, so a campaign interrupted under the indexed
-// engine resumes under the lane engine — and still equals an
-// uninterrupted run bit for bit.
+// oracle resumes on the lane path — and still equals an uninterrupted run
+// bit for bit.
 func TestLaneEngineCrossEngineResume(t *testing.T) {
 	cfg := DefaultConfig()
 	schemes := AllSchemes()
@@ -203,7 +176,7 @@ func TestLaneEngineCrossEngineResume(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
-	opts := campaignTestOpts()
+	opts := indexedOracle(campaignTestOpts())
 	opts.Workers = 2
 	opts.CheckpointPath = path
 	opts.CheckpointInterval = time.Nanosecond
@@ -224,7 +197,7 @@ func TestLaneEngineCrossEngineResume(t *testing.T) {
 	resumed := opts
 	resumed.OnChunk = nil
 	resumed.Resume = true
-	resumed.Engine = EngineLanes
+	resumed.oracle = nil
 	rep2 := mustCampaign(t, context.Background(), cfg, schemes, resumed)
 	if rep2.Trials != full.Trials || !reflect.DeepEqual(rep2.Results, full.Results) {
 		t.Fatalf("cross-engine resume diverged from uninterrupted run:\n%+v\nvs\n%+v",
@@ -246,12 +219,12 @@ func TestLaneEvaluatorDirect(t *testing.T) {
 			Gran: 1 /* GranWord */, Silent: silent, Transient: transient}
 	}
 	trials := [][]FaultRecord{
-		nil, // empty lane
-		{mk(0, 0, 1, 100, 61320, false, false)},                                         // lone visible fault
-		{mk(0, 0, 1, 100, 61320, false, false), mk(0, 0, 3, 200, 61320, false, false)},  // two chips, one rank
-		{mk(1, 1, 2, 50, 61320, true, true)},                                            // silent transient word: XED DUE
-		{mk(2, 0, 0, 10, 61320, false, false), mk(3, 0, 0, 10, 61320, false, false)},    // distinct channels
-		{mk(0, 0, 5, 500, 600, false, true), mk(0, 1, 5, 550, 61320, false, false)},     // cross-rank, same channel
+		nil,                                     // empty lane
+		{mk(0, 0, 1, 100, 61320, false, false)}, // lone visible fault
+		{mk(0, 0, 1, 100, 61320, false, false), mk(0, 0, 3, 200, 61320, false, false)}, // two chips, one rank
+		{mk(1, 1, 2, 50, 61320, true, true)},                                           // silent transient word: XED DUE
+		{mk(2, 0, 0, 10, 61320, false, false), mk(3, 0, 0, 10, 61320, false, false)},   // distinct channels
+		{mk(0, 0, 5, 500, 600, false, true), mk(0, 1, 5, 550, 61320, false, false)},    // cross-rank, same channel
 	}
 	var b LaneBatch
 	var st simrand.State
@@ -312,13 +285,13 @@ func TestLaneEvaluateBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestLaneEngineMetrics: the lane engine keeps the campaign counters the
-// indexed engine publishes (trials_evaluated covers every judged lane) and
-// adds batch/probe telemetry.
+// TestLaneEngineMetrics: the lane path keeps the Evaluator's campaign
+// counters (trials_evaluated covers every judged lane) and adds
+// batch/probe telemetry.
 func TestLaneEngineMetrics(t *testing.T) {
 	cfg := denseConfig(100)
 	reg := obs.NewRegistry()
-	opts := CampaignOptions{Trials: 20_000, Seed: 5, ChunkSize: 512, Metrics: reg, Engine: EngineLanes}
+	opts := CampaignOptions{Trials: 20_000, Seed: 5, ChunkSize: 512, Metrics: reg}
 	rep := mustCampaign(t, context.Background(), cfg, AllSchemes(), opts)
 
 	snap := reg.Snapshot().Counters
