@@ -8,6 +8,7 @@ import (
 
 	"xedsim/internal/dram"
 	"xedsim/internal/faultsim"
+	"xedsim/internal/simrand"
 )
 
 // testOptions returns reduced budgets for -short (and the -race job):
@@ -37,6 +38,24 @@ func TestPaperClaimsAllConfirmed(t *testing.T) {
 	}
 	if !AllConfirmed(verdicts) {
 		t.Fatal("clean tree does not confirm the claim table")
+	}
+}
+
+// TestBatchSeedsDrawDisjointChunkStreams: a sequential claim's batches are
+// independent samples only if no two (batch, chunk) pairs share a chunk
+// substream. Distinct first draws over 64 batches × 64 chunks show they
+// do not.
+func TestBatchSeedsDrawDisjointChunkStreams(t *testing.T) {
+	seen := map[uint64][2]int{}
+	for b := 0; b < 64; b++ {
+		seed := batchSeed(42, "fig9/xedck-over-dck", b)
+		for c := 0; c < 64; c++ {
+			x := simrand.NewStream(seed, uint64(c)).Uint64()
+			if prev, ok := seen[x]; ok {
+				t.Fatalf("batch %d chunk %d draws the stream of batch %d chunk %d", b, c, prev[0], prev[1])
+			}
+			seen[x] = [2]int{b, c}
+		}
 	}
 }
 
