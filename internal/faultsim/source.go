@@ -45,7 +45,7 @@ func (s *TrialSource) Trial(rng *simrand.Source, buf []FaultRecord) []FaultRecor
 // telemetry and cannot fail); the decomposition is exact — see
 // generator.nextNonEmpty.
 func (s *TrialSource) NextNonEmpty(rng *simrand.Source, buf []FaultRecord) (skipped int, out []FaultRecord) {
-	return s.g.nextNonEmptyAppend(rng, buf[:0])
+	return s.g.nextNonEmpty(rng, buf[:0])
 }
 
 // ResetEvents rewinds the multi-rank EventID counter. Chunked callers
