@@ -187,3 +187,36 @@ func writeGolden(t *testing.T, m map[string]string) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommittedPartialCheckpointResumes resumes testdata/partial-v1.ckpt, a
+// version-1 campaign checkpoint of the golden default campaign cancelled
+// after 40 chunks, and requires the uninterrupted run's golden digests: the
+// loader still reads the v1 format, whatever writes checkpoints today.
+func TestCommittedPartialCheckpointResumes(t *testing.T) {
+	b, err := os.ReadFile("testdata/partial-v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := goldenOpts()
+	opts.Workers = 2
+	opts.Resume = true
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "partial.ckpt")
+	if err := os.WriteFile(opts.CheckpointPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var startDone int
+	opts.OnChunk = func(done, _ int) {
+		if startDone == 0 {
+			startDone = done
+		}
+	}
+	rep, ck := goldenRun(t, context.Background(), DefaultConfig(), opts)
+	if startDone != 40 {
+		t.Errorf("resume started from %d done chunks, the committed checkpoint holds 40", startDone)
+	}
+	want := readGolden(t)
+	if rep != want["default/report"] || ck != want["default/checkpoint"] {
+		t.Errorf("resumed digests report %s checkpoint %s, golden %s %s",
+			rep, ck, want["default/report"], want["default/checkpoint"])
+	}
+}

@@ -3,12 +3,17 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"xedsim/internal/dram"
+	"xedsim/internal/obs"
 )
 
 // testConfig returns a fleet small enough for sub-second tests but large
@@ -105,6 +110,117 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			t.Errorf("resumed summary at %d workers differs from uninterrupted reference:\nref: %+v\ngot: %+v",
 				workers, ref.Tally, got.Tally)
 		}
+	}
+}
+
+// TestRunMetrics: a metrics registry attached to a fleet run ends agreeing
+// exactly with the Summary: DIMM and chunk progress, every telemetry
+// counter, and one save_ms observation per checkpoint save.
+func TestRunMetrics(t *testing.T) {
+	cfg := testConfig(20_000)
+	reg := obs.NewRegistry()
+	opts := Options{Seed: 3, ChunkSize: 512, Workers: 4, Metrics: reg,
+		CheckpointPath: filepath.Join(t.TempDir(), "fleet.ckpt"), CheckpointInterval: time.Nanosecond}
+	sum := mustRun(t, cfg, opts)
+	checkFleetMetrics(t, reg.Snapshot(), sum, (cfg.DIMMs+opts.ChunkSize-1)/opts.ChunkSize)
+	snap := reg.Snapshot()
+	saves := snap.Counters["fleet.checkpoint.saves"]
+	if saves < 2 {
+		t.Fatalf("checkpoint.saves = %d, want periodic saves plus the final one", saves)
+	}
+	if h := snap.Histograms["fleet.checkpoint.save_ms"]; h.Count != saves {
+		t.Fatalf("save_ms histogram count %d != saves %d", h.Count, saves)
+	}
+}
+
+// checkFleetMetrics requires the fleet.* counters and gauges to match sum,
+// a fleet with chunks merged chunks.
+func checkFleetMetrics(t *testing.T, snap obs.Snapshot, sum *Summary, chunks int) {
+	t.Helper()
+	for name, want := range map[string]uint64{
+		"fleet.dimms_done":      sum.Tally.DIMMs,
+		"fleet.chunks_done":     uint64(chunks),
+		"fleet.dimms_failed":    sum.Tally.Failed,
+		"fleet.ce_count":        sum.Tally.CEs,
+		"fleet.ce_noinfo_count": sum.Tally.CENoInfo,
+		"fleet.ue_count":        sum.Tally.UEs,
+		"fleet.ue_noinfo_count": sum.Tally.UENoInfo,
+		"fleet.retired_rows":    sum.Tally.RetiredRows,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Gauges["fleet.dimms_total"]; got != int64(sum.Config.DIMMs) {
+		t.Errorf("dimms_total = %d, want %d", got, sum.Config.DIMMs)
+	}
+	total := (sum.Config.DIMMs + sum.ChunkSize - 1) / sum.ChunkSize
+	if got := snap.Gauges["fleet.chunks_total"]; got != int64(total) {
+		t.Errorf("chunks_total = %d, want %d", got, total)
+	}
+}
+
+// TestResumeCreditsMetrics: a resumed fleet's counters start at the
+// snapshot's frontier (visible in the startup OnChunk call, before any
+// chunk merges) and end at the Summary's totals, nothing counted twice.
+func TestResumeCreditsMetrics(t *testing.T) {
+	cfg := testConfig(20_000)
+	pol, _ := ParsePolicy("on-first-ce")
+	cfg.Policy = pol
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	const stopAt = 10
+	partial, err := Run(ctx, cfg, Options{Seed: 3, ChunkSize: 512, Workers: 1, CheckpointPath: path,
+		OnChunk: func(done, _ int) {
+			if done == stopAt {
+				cancel()
+			}
+		}})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v", err)
+	}
+
+	reg := obs.NewRegistry()
+	calls := 0
+	sum := mustRun(t, cfg, Options{Seed: 3, ChunkSize: 512, Workers: 2, CheckpointPath: path, Resume: true, Metrics: reg,
+		OnChunk: func(done, _ int) {
+			calls++
+			if calls > 1 {
+				return
+			}
+			if done != stopAt {
+				t.Errorf("startup OnChunk done = %d, want %d", done, stopAt)
+			}
+			checkFleetMetrics(t, reg.Snapshot(), partial, stopAt)
+		}})
+	if calls == 0 {
+		t.Fatal("OnChunk never called")
+	}
+	checkFleetMetrics(t, reg.Snapshot(), sum, (cfg.DIMMs+511)/512)
+}
+
+// TestFailedPeriodicSaveCancels: a periodic checkpoint save that fails
+// mid-run is fatal. The run stops early and returns the save's error (not
+// a cancellation) together with the partial Summary.
+func TestFailedPeriodicSaveCancels(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(20_000)
+	sum, err := Run(context.Background(), cfg, Options{Seed: 3, ChunkSize: 512, Workers: 1,
+		CheckpointPath: filepath.Join(dir, "fleet.ckpt"), CheckpointInterval: time.Nanosecond,
+		OnChunk: func(done, _ int) {
+			if done == 5 {
+				os.RemoveAll(dir) // the next periodic save cannot create its temp file
+			}
+		}})
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("err = %v, want the failed save's checkpoint error", err)
+	}
+	if sum == nil || sum.Complete || sum.Tally.DIMMs != 6*512 {
+		t.Fatalf("partial Summary %+v, want the 6 chunks merged up to the failed save", sum)
 	}
 }
 
